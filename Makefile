@@ -7,10 +7,10 @@ GO ?= go
 # module.
 RACE_PKGS = ./internal/gdb ./internal/resp ./internal/cfpq ./internal/exec ./internal/store ./internal/analysis/... ./cmd/mscfpq-lint
 
-.PHONY: check all build vet test race race-quick cover bench bench-quick bench-batch bench-smoke experiments fuzz fuzz-smoke diff-test diff-test-slow chaos chaos-repl lint lint-tools clean
+.PHONY: check all build vet test perfbench-test race race-quick cover bench bench-quick bench-batch bench-smoke experiments fuzz fuzz-smoke diff-test diff-test-slow chaos chaos-repl lint lint-tools clean
 
 # Default: what CI runs on every change.
-check: build vet lint test race diff-test chaos chaos-repl bench-smoke
+check: build vet lint test perfbench-test race diff-test chaos chaos-repl bench-smoke
 
 all: build test
 
@@ -22,6 +22,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# perfbench is its own module (perfbench/go.mod), so the root
+# `go test ./...` never compiles it; this builds it against the current
+# packages and runs its helper tests plus a tiny-scale smoke run.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

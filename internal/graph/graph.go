@@ -65,12 +65,8 @@ func (g *Graph) grow(v int) {
 	for _, m := range g.edges {
 		m.Resize(g.n, g.n)
 	}
-	// Vectors cannot grow; rebuild. Vertex-label vectors are tiny
-	// relative to edge matrices, so this stays cheap.
-	for l, vec := range g.vlabels {
-		if vec.Size() < g.n {
-			g.vlabels[l] = matrix.NewVectorFromIndices(g.n, vec.Ints())
-		}
+	for _, vec := range g.vlabels {
+		vec.Resize(g.n)
 	}
 	g.tmu.Lock()
 	g.transposed = map[string]*matrix.Bool{}

@@ -162,14 +162,14 @@ func TestCloneFrozenLeavesSourceUntouched(t *testing.T) {
 	want := snapshotRows(m)
 
 	c := m.CloneFrozen()
-	if m.shared != nil {
-		t.Fatalf("CloneFrozen wrote the source's shared bitmap: %v", m.shared)
+	if m.shared != nil || m.aliased {
+		t.Fatalf("CloneFrozen marked the source: shared %v, aliased %v", m.shared, m.aliased)
 	}
 
-	// Contrast: CloneCOW still marks the source shared.
+	// Contrast: CloneCOW still marks the source.
 	m2 := NewBoolFromPairs(2, 2, [][2]int{{0, 1}})
 	m2.CloneCOW()
-	if m2.shared == nil {
+	if !m2.aliased {
 		t.Fatal("CloneCOW no longer marks the source shared — its contract changed")
 	}
 
