@@ -96,3 +96,74 @@ func TestWarmIndexNilPriorAndErrors(t *testing.T) {
 		t.Fatal("expected shrunk-graph error")
 	}
 }
+
+// TestWarmIndexConcurrentWithPriorQueries: warm starts clone the prior
+// relations under the prior's lock but grow and seed the clones outside
+// it, while queries on the prior keep growing the very matrices the
+// clones share. Run under -race, the clones' answers must still match
+// a fresh index and the prior's must match Algorithm 2.
+func TestWarmIndexConcurrentWithPriorQueries(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	labels := []string{"a", "b", "subClassOf"}
+	w := testGrammars()["dyck"]
+	const n = 40
+	g := randomGraph(rng, n, 120, labels)
+	g2 := g.CowClone()
+	for e := 0; e < 20; e++ {
+		g2.AddEdge(rng.Intn(n+5), labels[rng.Intn(len(labels))], rng.Intn(n+5))
+	}
+	n2 := g2.NumVertices()
+	prior, err := NewIndex(g, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewIndex(g2, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perm := rng.Perm(n)
+	answers := 0
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for lo := 0; lo < n; lo += 4 {
+			src := matrix.NewVectorFromIndices(n, perm[lo:lo+4])
+			got, err := prior.MultiSourceSmart(src)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			want, err := MultiSource(g, w, src)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !got.Answer().Equal(want.Answer()) {
+				t.Errorf("prior query %v differs from Algorithm 2", src.Ints())
+			}
+			answers += got.Answer().NVals()
+		}
+	}()
+	for round := 0; round < 10; round++ {
+		warm, err := NewIndexWarm(g2, w, prior)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := matrix.NewVectorFromIndices(n2, []int{rng.Intn(n2), rng.Intn(n2)})
+		wa, err := warm.MultiSourceSmart(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fa, err := fresh.MultiSourceSmart(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !wa.Answer().Equal(fa.Answer()) {
+			t.Fatalf("round %d src=%v: warm differs from fresh", round, src.Ints())
+		}
+	}
+	<-done
+	if answers == 0 {
+		t.Fatal("prior queries found no paths; the fixture exercises nothing")
+	}
+}
