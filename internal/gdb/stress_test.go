@@ -97,6 +97,17 @@ func TestStressPinnedReadsUnderWrites(t *testing.T) {
 	db.SetPolicy(Policy{CacheMaxBytes: 1 << 20})
 	w := stressGrammar(t)
 	s := stressSeed(t, db, "g")
+	// The store writers below own vertices 100..199. CREATE allocates
+	// its nodes past the graph's current size, so grow the graph over
+	// that range first: otherwise a store writer's first edge lets a
+	// CREATE land on an id pair the writer adds later, and that commit
+	// adds no edge.
+	if _, err := s.st.Update(func(tx *store.Tx) error {
+		tx.Graph().AddVertexLabel(199, "N")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	baseEdges := s.Snapshot().Graph().NumEdges()
 	baseVersion := s.Version()
 
