@@ -7,7 +7,7 @@ GO ?= go
 # module.
 RACE_PKGS = ./internal/gdb ./internal/resp ./internal/cfpq ./internal/exec ./internal/store ./internal/analysis/... ./cmd/mscfpq-lint
 
-.PHONY: check all build vet test perfbench-test race race-quick cover bench bench-quick bench-batch bench-smoke experiments fuzz fuzz-smoke diff-test diff-test-slow chaos chaos-repl lint lint-tools clean
+.PHONY: check all build vet test perfbench-test race race-quick cover bench bench-quick bench-smoke experiments fuzz fuzz-smoke diff-test diff-test-slow chaos chaos-repl lint lint-tools clean
 
 # Default: what CI runs on every change.
 check: build vet lint test perfbench-test race diff-test chaos chaos-repl bench-smoke
@@ -90,17 +90,9 @@ bench-quick:
 # governed-kernel overhead <= 3%. The cache smoke measures cold-vs-warm
 # latency and concurrent-reader throughput into BENCH_cache.json; its
 # acceptance gate (warm hit >= 10x faster than cold) fails the run.
-# The batch smoke measures query coalescing into BENCH_batch.json; its
-# acceptance gates (>= 2x aggregate qps with 8 concurrent same-grammar
-# clients, <= 1ms added lone-client p50) fail the run.
 bench-smoke:
 	$(GO) run ./cmd/benchrunner -exp obs -quick -json BENCH_obs.json
 	$(GO) run ./cmd/benchrunner -exp cache -quick -json BENCH_cache.json
-	$(GO) run ./cmd/benchrunner -exp batch -quick -json BENCH_batch.json
-
-# The coalescing experiment alone, at quick scale (DESIGN.md Â§14).
-bench-batch:
-	$(GO) run ./cmd/benchrunner -exp batch -quick -json BENCH_batch.json
 
 # Short fuzzing sessions over every parser.
 fuzz:
@@ -152,4 +144,4 @@ lint-tools:
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
 clean:
-	rm -f test_output.txt bench_output.txt BENCH_obs.json BENCH_cache.json BENCH_batch.json
+	rm -f test_output.txt bench_output.txt BENCH_obs.json BENCH_cache.json

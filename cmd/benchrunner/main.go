@@ -41,7 +41,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchrunner", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "all", "table1 | fig2 | figures | ablation | fullstack | rpq | obs | cache | batch | all")
+		exp      = fs.String("exp", "all", "table1 | fig2 | figures | ablation | fullstack | rpq | obs | cache | all")
 		quick    = fs.Bool("quick", false, "use the reduced smoke-test scales")
 		graphs   = fs.String("graphs", "", "comma-separated graph subset")
 		chunks   = fs.String("chunks", "", "comma-separated chunk sizes for the sweep")
@@ -191,33 +191,13 @@ func run(args []string, stdout io.Writer) error {
 				fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
 			}
 			return rep.Render(stdout)
-		case "batch":
-			rep, measurements, err := bench.BatchBench(cfg)
-			if err != nil {
-				return err
-			}
-			if *jsonPath != "" {
-				f, err := os.Create(*jsonPath)
-				if err != nil {
-					return err
-				}
-				if err := bench.WriteBatchJSON(f, measurements); err != nil {
-					f.Close()
-					return err
-				}
-				if err := f.Close(); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
-			}
-			return rep.Render(stdout)
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}
 	}
 
 	if *exp == "all" {
-		for _, name := range []string{"table1", "fig2", "figures", "ablation", "fullstack", "rpq", "obs", "cache", "batch"} {
+		for _, name := range []string{"table1", "fig2", "figures", "ablation", "fullstack", "rpq", "obs", "cache"} {
 			if err := runOne(name); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}

@@ -35,12 +35,12 @@ func TestMultiSourceEmptySourceSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MultiSource(g, w, NewVertexSet(3))
+	res, err := EvalCFPQ(g, w, NewVertexSet(3), WithAlgorithm(AlgMultiSource))
 	if err != nil {
 		t.Fatalf("empty source set: %v", err)
 	}
-	if res.Answer().NVals() != 0 {
-		t.Fatalf("empty source set answered %v", res.Answer().Pairs())
+	if len(res.Pairs()) != 0 {
+		t.Fatalf("empty source set answered %v", res.Pairs())
 	}
 	// The index variant must accept it too, repeatedly.
 	idx, err := NewIndex(g, w)
@@ -66,27 +66,27 @@ func TestMultiSourceSingleVertexGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MultiSource(g, w, NewVertexSet(1, 0, 0))
+	res, err := EvalCFPQ(g, w, NewVertexSet(1, 0, 0), WithAlgorithm(AlgMultiSource))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// a^n b^n over self loops on a single vertex: (0, 0) is derivable.
-	if !res.Answer().Get(0, 0) {
+	if !hasPair(res.Pairs(), 0, 0) {
 		t.Fatal("single-vertex self-loop answer missing (0,0)")
 	}
-	ap, err := AllPairs(g, w)
+	ap, err := EvalCFPQ(g, w, nil, WithAlgorithm(AlgMatrix))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Answer().Equal(ap.Start()) {
+	if !samePairs(res.Pairs(), ap.Pairs()) {
 		t.Fatalf("single-vertex: multi-source %v != all-pairs %v",
-			res.Answer().Pairs(), ap.Start().Pairs())
+			res.Pairs(), ap.Pairs())
 	}
-	sp, err := MultiSourceSinglePath(g, w, NewVertexSet(1, 0))
+	sp, err := EvalCFPQ(g, w, NewVertexSet(1, 0), WithAlgorithm(AlgMSSinglePath))
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps, err := sp.Path(0, 0)
+	steps, err := sp.(PathCFPQResult).Path(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,15 +101,15 @@ func TestQueriesOnZeroVertexGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ap, err := AllPairs(g, w); err != nil || ap.Start().NVals() != 0 {
+	if ap, err := EvalCFPQ(g, w, nil, WithAlgorithm(AlgMatrix)); err != nil || len(ap.Pairs()) != 0 {
 		t.Fatalf("AllPairs on empty graph: %v, %v", ap, err)
 	}
-	res, err := MultiSource(g, w, NewVertexSet(0))
+	res, err := EvalCFPQ(g, w, NewVertexSet(0), WithAlgorithm(AlgMultiSource))
 	if err != nil {
 		t.Fatalf("MultiSource on empty graph: %v", err)
 	}
-	if res.Answer().NVals() != 0 {
-		t.Fatalf("MultiSource on empty graph answered %v", res.Answer().Pairs())
+	if len(res.Pairs()) != 0 {
+		t.Fatalf("MultiSource on empty graph answered %v", res.Pairs())
 	}
 	reach, err := EvalRPQ(g, "a+", NewVertexSet(0))
 	if err != nil {
@@ -127,10 +127,10 @@ func TestMultiSourceSizeMismatchStillErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MultiSource(g, w, NewVertexSet(2, 0)); err == nil {
+	if _, err := EvalCFPQ(g, w, NewVertexSet(2, 0), WithAlgorithm(AlgMultiSource)); err == nil {
 		t.Fatal("size-mismatched source vector must error")
 	}
-	if _, err := MultiSource(g, w, nil); err == nil {
+	if _, err := EvalCFPQ(g, w, nil, WithAlgorithm(AlgMultiSource)); err == nil {
 		t.Fatal("nil source vector must error")
 	}
 }

@@ -153,39 +153,39 @@ func TestGoldenReachablePairs(t *testing.T) {
 				run  func() ([][2]int, error)
 			}{
 				{"AllPairs", func() ([][2]int, error) {
-					r, err := AllPairs(g, w)
+					r, err := EvalCFPQ(g, w, nil, WithAlgorithm(AlgMatrix))
 					if err != nil {
 						return nil, err
 					}
 					return r.Pairs(), nil
 				}},
 				{"AllPairsSemiNaive", func() ([][2]int, error) {
-					r, err := AllPairsSemiNaive(g, w)
+					r, err := EvalCFPQ(g, w, nil, WithAlgorithm(AlgSemiNaive))
 					if err != nil {
 						return nil, err
 					}
 					return r.Pairs(), nil
 				}},
 				{"Worklist", func() ([][2]int, error) {
-					r, err := Worklist(g, w)
+					r, err := EvalCFPQ(g, w, nil, WithAlgorithm(AlgWorklist))
 					if err != nil {
 						return nil, err
 					}
 					return r.Pairs(), nil
 				}},
 				{"SinglePath", func() ([][2]int, error) {
-					r, err := SinglePath(g, w)
+					r, err := EvalCFPQ(g, w, nil, WithAlgorithm(AlgSinglePath))
 					if err != nil {
 						return nil, err
 					}
 					return r.Pairs(), nil
 				}},
 				{"MultiSource(all)", func() ([][2]int, error) {
-					r, err := MultiSource(g, w, all)
+					r, err := EvalCFPQ(g, w, all, WithAlgorithm(AlgMultiSource))
 					if err != nil {
 						return nil, err
 					}
-					return r.Answer().Pairs(), nil
+					return r.Pairs(), nil
 				}},
 				{"Index(all)", func() ([][2]int, error) {
 					idx, err := NewIndex(g, w)

@@ -7,12 +7,12 @@ package gdb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"mscfpq/internal/batch"
 	"mscfpq/internal/cypher"
 	"mscfpq/internal/exec"
 	"mscfpq/internal/graph"
@@ -42,12 +42,6 @@ type DB struct {
 	// synchronized).
 	slowLog *obs.SlowLog
 
-	// batcher coalesces concurrent same-key EvalCFPQ queries into shared
-	// fixpoints (DESIGN.md §14); set once by New, immutable afterwards
-	// (internally synchronized). Disabled until a policy sets
-	// BatchWindow.
-	batcher *batch.Coalescer
-
 	// dur is the crash-safety layer, nil for in-memory databases (New);
 	// set once by Open before the DB is shared, immutable afterwards.
 	dur *durability
@@ -64,13 +58,11 @@ const slowLogCapacity = 128
 
 // New returns an empty database.
 func New() *DB {
-	db := &DB{
+	return &DB{
 		graphs:  map[string]*GraphStore{},
 		cache:   store.NewCache(0, 0),
 		slowLog: obs.NewSlowLog(slowLogCapacity),
 	}
-	db.batcher = batch.NewCoalescer(db.cache)
-	return db
 }
 
 // SlowLog exposes the slow-query ring (never nil).
@@ -90,9 +82,10 @@ func (db *DB) Cache() *store.Cache { return db.cache }
 type GraphStore struct {
 	st *store.Store
 
-	ctxMu    sync.Mutex
-	ctxCache map[string]*cachedCtx // guarded by ctxMu
-	ctxHits  int                   // guarded by ctxMu
+	ctxMu     sync.Mutex
+	ctxCache  map[string]*cachedCtx     // guarded by ctxMu
+	ctxBuilds map[ctxBuildKey]*ctxBuild // guarded by ctxMu
+	ctxHits   int                       // guarded by ctxMu
 }
 
 // cachedCtx pairs a prepared path context with the snapshot version
@@ -107,13 +100,49 @@ type cachedCtx struct {
 	version uint64
 }
 
+// ctxBuildKey names one path-context build: a declaration set (CtxKey)
+// at one snapshot version.
+type ctxBuildKey struct {
+	key     string
+	version uint64
+}
+
+// ctxBuild is an in-flight path-context build. The query that starts
+// it builds outside ctxMu; later queries for the same key and version
+// wait on done instead of building again. ctx and err are written
+// before done is closed and read only after.
+type ctxBuild struct {
+	done chan struct{}
+	ctx  *plan.PathCtx
+	err  error
+}
+
+// errCtxBuildAborted is what waiters see when the build they waited on
+// did not return (it panicked).
+var errCtxBuildAborted = errors.New("gdb: path context build did not complete")
+
+// buildPathCtx builds the path context for pats on g, warm-started from
+// prev (the same declarations at an older version of g's store) when
+// prev is non-nil. Tests replace it to hold a build open.
+var buildPathCtx = func(prev *plan.PathCtx, g *graph.Graph, pats []cypher.NamedPathPattern) (*plan.PathCtx, error) {
+	if prev != nil {
+		if ctx, err := prev.WarmSuccessor(g); err == nil {
+			return ctx, nil
+		}
+		// Warm start failed (shouldn't happen along a version
+		// lineage); fall back to a cold build.
+	}
+	return plan.NewPathCtx(g, pats)
+}
+
 // NewGraphStore wraps an existing graph (no properties) as version 0.
 // The graph is adopted by the store: seed it fully before the first
 // versioned write, or mutate through queries.
 func NewGraphStore(g *graph.Graph) *GraphStore {
 	return &GraphStore{
-		st:       store.New(g),
-		ctxCache: map[string]*cachedCtx{},
+		st:        store.New(g),
+		ctxCache:  map[string]*cachedCtx{},
+		ctxBuilds: map[ctxBuildKey]*ctxBuild{},
 	}
 }
 
@@ -137,38 +166,75 @@ func (s *GraphStore) StoreID() uint64 { return s.st.ID() }
 // cfpq.NewIndexWarm); a reader pinned BEHIND the cached version builds
 // a private context without disturbing the cache. Queries without
 // declarations always get a fresh empty context (cheap).
-func (s *GraphStore) pathCtxFor(snap *store.Snapshot, q *cypher.Query) (*plan.PathCtx, error) {
+//
+// ctxMu is held only to look up and to install: builds run outside it,
+// at most once per key and version, so a slow build blocks neither
+// other declaration sets nor other versions. A query waiting on
+// another's build returns as soon as its own run is cancelled.
+func (s *GraphStore) pathCtxFor(snap *store.Snapshot, q *cypher.Query, run *exec.Run) (*plan.PathCtx, error) {
 	if len(q.PathPatterns) == 0 {
 		return plan.NewPathCtx(snap.Graph(), nil)
 	}
-	key := plan.CtxKey(q.PathPatterns)
-	v := snap.Version()
+	bk := ctxBuildKey{key: plan.CtxKey(q.PathPatterns), version: snap.Version()}
 	s.ctxMu.Lock()
-	defer s.ctxMu.Unlock()
-	if c, ok := s.ctxCache[key]; ok {
-		if c.version == v {
+	hit, prev, b, owner := s.claimCtxLocked(bk)
+	s.ctxMu.Unlock()
+	switch {
+	case hit != nil:
+		return hit, nil
+	case owner:
+		return s.runCtxBuild(bk, b, prev, snap.Graph(), q.PathPatterns)
+	}
+	select {
+	case <-b.done:
+		return b.ctx, b.err
+	case <-run.Ctx().Done():
+		return nil, run.Ctx().Err()
+	}
+}
+
+// claimCtxLocked resolves bk against the cache: a context cached at
+// exactly bk's version is returned as hit. Otherwise it returns the
+// in-flight build for bk, registering a new one owned by the caller
+// when none runs yet; prev is the cached context to warm-start from
+// when the cache holds an older version.
+func (s *GraphStore) claimCtxLocked(bk ctxBuildKey) (hit, prev *plan.PathCtx, b *ctxBuild, owner bool) {
+	if c, ok := s.ctxCache[bk.key]; ok {
+		if c.version == bk.version {
 			s.ctxHits++
-			return c.ctx, nil
+			return c.ctx, nil, nil, false
 		}
-		if c.version < v {
-			if ctx, err := c.ctx.WarmSuccessor(snap.Graph()); err == nil {
-				s.ctxCache[key] = &cachedCtx{ctx: ctx, version: v}
-				return ctx, nil
+		if c.version < bk.version {
+			prev = c.ctx
+		}
+	}
+	if b, ok := s.ctxBuilds[bk]; ok {
+		return nil, nil, b, false
+	}
+	b = &ctxBuild{done: make(chan struct{}), err: errCtxBuildAborted}
+	s.ctxBuilds[bk] = b
+	return nil, prev, b, true
+}
+
+// runCtxBuild runs the build the caller claimed, outside ctxMu. A
+// successful context is installed unless the cache already holds the
+// same or a newer version (a reader pinned behind the cache keeps its
+// context private); a failed one is not. Waiters are released either
+// way, also if the build panics.
+func (s *GraphStore) runCtxBuild(bk ctxBuildKey, b *ctxBuild, prev *plan.PathCtx, g *graph.Graph, pats []cypher.NamedPathPattern) (*plan.PathCtx, error) {
+	defer func() {
+		s.ctxMu.Lock()
+		delete(s.ctxBuilds, bk)
+		if b.err == nil {
+			if c, ok := s.ctxCache[bk.key]; !ok || c.version < bk.version {
+				s.ctxCache[bk.key] = &cachedCtx{ctx: b.ctx, version: bk.version}
 			}
-			// Warm start failed (shouldn't happen along a version
-			// lineage); fall through to a cold build.
-		} else {
-			// The cache moved past this reader's pinned version; serve
-			// it a private context and leave the cache at the newer one.
-			return plan.NewPathCtx(snap.Graph(), q.PathPatterns)
 		}
-	}
-	ctx, err := plan.NewPathCtx(snap.Graph(), q.PathPatterns)
-	if err != nil {
-		return nil, err
-	}
-	s.ctxCache[key] = &cachedCtx{ctx: ctx, version: v}
-	return ctx, nil
+		s.ctxMu.Unlock()
+		close(b.done)
+	}()
+	b.ctx, b.err = buildPathCtx(prev, g, pats)
+	return b.ctx, b.err
 }
 
 // CtxCacheHits reports how many queries reused a cached path-pattern
@@ -376,7 +442,7 @@ func (s *GraphStore) runMatch(q *cypher.Query, run *exec.Run) (*QueryResult, err
 // the snapshot's version.
 func (s *GraphStore) runMatchSnap(snap *store.Snapshot, q *cypher.Query, run *exec.Run) (*QueryResult, error) {
 	planSpan := run.StartSpan(obs.SpanPlan)
-	ctx, err := s.pathCtxFor(snap, q)
+	ctx, err := s.pathCtxFor(snap, q, run)
 	if err != nil {
 		planSpan.End()
 		return nil, err

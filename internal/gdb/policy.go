@@ -44,15 +44,6 @@ type Policy struct {
 	// CacheTTL additionally expires cached results by age; 0 keeps
 	// entries until evicted or invalidated.
 	CacheTTL time.Duration
-	// BatchWindow enables multi-source query coalescing (DESIGN.md §14)
-	// for EvalCFPQ: when a same-key evaluation (snapshot version +
-	// incarnation, grammar, algorithm, limits) is already in flight,
-	// later arrivals wait up to this long to be merged into one shared
-	// fixpoint. 0 disables coalescing. A lone query never waits.
-	BatchWindow time.Duration
-	// BatchMaxSources flushes an open batch early once its deduplicated
-	// source union reaches this size; 0 leaves the union uncapped.
-	BatchMaxSources int
 	// Log receives structured slow-query and aborted-query lines; nil
 	// disables logging.
 	Log *log.Logger
@@ -64,7 +55,6 @@ func (db *DB) SetPolicy(p Policy) {
 	db.policy = p
 	db.polMu.Unlock()
 	db.cache.Configure(p.CacheMaxBytes, p.CacheTTL)
-	db.batcher.Configure(p.BatchWindow, p.BatchMaxSources)
 	db.kickAutoSaver()
 }
 

@@ -70,11 +70,10 @@ func TestServerInfoSlowlog(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"# server", "# gdb", "# batch", "# kernels", "# durability",
+		"# server", "# gdb", "# kernels", "# durability",
 		"uptime_seconds:", "graphs:1",
 		"gdb.queries:", "gdb.slow_queries:",
 		"kernel.mul.ops:", "resp.commands:", "governor.completed:",
-		"batch.groups:", "batch.solo:",
 	} {
 		if !strings.Contains(info.Str, want) {
 			t.Errorf("INFO missing %q:\n%s", want, info.Str)

@@ -545,7 +545,7 @@ func (s *Server) execute(args []string) (reply Value, quit bool) {
 }
 
 // infoSectionNames lists the INFO sections in reply order.
-var infoSectionNames = []string{"server", "gdb", "batch", "cache", "kernels", "durability", "replication"}
+var infoSectionNames = []string{"server", "gdb", "cache", "kernels", "durability", "replication"}
 
 // infoSection maps an instrument name to its INFO section by the first
 // dotted component. Anything outside the known layers (resp.*,
@@ -557,8 +557,6 @@ func infoSection(key string) string {
 		return "kernels"
 	case obs.LayerGdb:
 		return "gdb"
-	case obs.LayerBatch:
-		return "batch"
 	case obs.LayerCache:
 		return "cache"
 	case obs.LayerDur:

@@ -18,8 +18,8 @@
 //	gr, _ := mscfpq.ParseGrammar("S -> a S b | a b")
 //	w, _ := mscfpq.ToWCNF(gr)
 //	src := mscfpq.NewVertexSet(g.NumVertices(), 0)
-//	res, _ := mscfpq.MultiSource(g, w, src)
-//	fmt.Println(res.Answer().Pairs())
+//	res, _ := mscfpq.EvalCFPQ(g, w, src)
+//	fmt.Println(res.Pairs())
 package mscfpq
 
 import (
@@ -41,7 +41,7 @@ import (
 //
 //	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 //	defer cancel()
-//	res, err := mscfpq.MultiSource(g, w, src,
+//	res, err := mscfpq.EvalCFPQ(g, w, src,
 //		mscfpq.WithContext(ctx),
 //		mscfpq.WithBudget(1_000_000))
 //
@@ -149,11 +149,6 @@ type (
 	// Index is the cross-query cache of the optimized multiple-source
 	// algorithm (Algorithm 3).
 	Index = cfpq.Index
-	// SinglePathResult additionally reconstructs witness paths.
-	SinglePathResult = cfpq.SinglePathResult
-	// MSSinglePathResult is a multiple-source result with single-path
-	// semantics (MultiSourceSinglePath).
-	MSSinglePathResult = cfpq.MSSinglePathResult
 	// PathStep is one edge (or vertex-label step) of an extracted path.
 	PathStep = cfpq.PathStep
 	// CFPQResult is the unified result of EvalCFPQ: answer pairs plus
@@ -261,24 +256,6 @@ func EvalCFPQ(g *Graph, w *WCNF, src *VertexSet, opts ...Option) (CFPQResult, er
 	return cfpq.Eval(g, w, src, opts...)
 }
 
-// AllPairs runs Azimov's all-pairs CFPQ algorithm (Algorithm 1).
-//
-// Deprecated: use EvalCFPQ with WithAlgorithm(AlgMatrix); AllPairs
-// remains for callers that need the concrete Result with its
-// per-nonterminal relation matrices.
-func AllPairs(g *Graph, w *WCNF, opts ...Option) (*Result, error) {
-	return cfpq.AllPairs(g, w, opts...)
-}
-
-// MultiSource runs the paper's multiple-source algorithm (Algorithm 2).
-//
-// Deprecated: use EvalCFPQ with WithAlgorithm(AlgMultiSource);
-// MultiSource remains for callers that need the concrete MSResult with
-// its source matrices.
-func MultiSource(g *Graph, w *WCNF, src *VertexSet, opts ...Option) (*MSResult, error) {
-	return cfpq.MultiSource(g, w, src, opts...)
-}
-
 // NewIndex builds the cross-query cache for the optimized
 // multiple-source algorithm (Algorithm 3); query it with
 // Index.MultiSourceSmart. Options given here become the defaults for
@@ -287,44 +264,8 @@ func NewIndex(g *Graph, w *WCNF, opts ...Option) (*Index, error) {
 	return cfpq.NewIndex(g, w, opts...)
 }
 
-// SinglePath runs all-pairs CFPQ with single-path semantics; the result
-// reconstructs one witness path per reachability fact.
-//
-// Deprecated: use EvalCFPQ with WithAlgorithm(AlgSinglePath); the
-// result satisfies PathCFPQResult. SinglePath remains for callers that
-// need the concrete SinglePathResult.
-func SinglePath(g *Graph, w *WCNF, opts ...Option) (*SinglePathResult, error) {
-	return cfpq.SinglePath(g, w, opts...)
-}
-
-// MultiSourceSinglePath combines the multiple-source restriction of
-// Algorithm 2 with single-path semantics: only paths from src are
-// computed, and each answer pair can be expanded into a witness path.
-//
-// Deprecated: use EvalCFPQ with WithAlgorithm(AlgMSSinglePath); the
-// result satisfies PathCFPQResult. MultiSourceSinglePath remains for
-// callers that need the concrete MSSinglePathResult.
-func MultiSourceSinglePath(g *Graph, w *WCNF, src *VertexSet, opts ...Option) (*MSSinglePathResult, error) {
-	return cfpq.MultiSourceSinglePath(g, w, src, opts...)
-}
-
 // Word returns the label word of an extracted path.
 func Word(steps []PathStep) []string { return cfpq.Word(steps) }
-
-// AllPairsSemiNaive is AllPairs with semi-naive (delta) iteration; it
-// wins when the fixpoint runs many rounds (dense, deep hierarchies).
-//
-// Deprecated: use EvalCFPQ with WithAlgorithm(AlgSemiNaive).
-func AllPairsSemiNaive(g *Graph, w *WCNF, opts ...Option) (*Result, error) {
-	return cfpq.AllPairsSemiNaive(g, w, opts...)
-}
-
-// Worklist runs the non-linear-algebra CFL-reachability baseline.
-//
-// Deprecated: use EvalCFPQ with WithAlgorithm(AlgWorklist).
-func Worklist(g *Graph, w *WCNF, opts ...Option) (*Result, error) {
-	return cfpq.Worklist(g, w, opts...)
-}
 
 // CompileRegex compiles a regular path query ("subClassOf+ type?").
 func CompileRegex(src string) (*NFA, error) { return rpq.CompileRegex(src) }
